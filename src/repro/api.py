@@ -568,11 +568,17 @@ def _write_run_record(run_dir: Path, record: Mapping[str, Any]) -> None:
     _index_touch_run(run_dir)
 
 
+#: This process's owner token: a restarted server may inherit its
+#: predecessor's pid (PID 1 in a container), never its token.
+_OWNER_TOKEN = os.urandom(8).hex()
+
+
 def _owner_document() -> Dict[str, Any]:
     """Who holds a queued/running record: enough to probe liveness later."""
     return {
         "pid": os.getpid(),
         "host": socket.gethostname(),
+        "token": _OWNER_TOKEN,
         "attached_at": time.time(),
     }
 
@@ -598,7 +604,9 @@ def _progress_mtime(run_dir: Path) -> Optional[float]:
 def _record_orphaned(run_dir: Path, record: Mapping[str, Any]) -> bool:
     """Whether a queued/running record's owning process is gone.
 
-    Local owners are probed directly (``os.kill(pid, 0)``); for a
+    Local owners are probed directly (``os.kill(pid, 0)``); an owner
+    with this process's pid is this process only if its token matches
+    (a restarted server may inherit its predecessor's pid).  For a
     record owned by another host the only signal is on-disk progress,
     so it counts as orphaned once nothing has been written for
     :data:`ORPHAN_GRACE_S`.  Owner-less (legacy) records are never
@@ -613,7 +621,7 @@ def _record_orphaned(run_dir: Path, record: Mapping[str, Any]) -> bool:
     host = owner.get("host")
     if host == socket.gethostname() and isinstance(pid, int):
         if pid == os.getpid():
-            return False
+            return owner.get("token") != _OWNER_TOKEN
         try:
             os.kill(pid, 0)
         except ProcessLookupError:

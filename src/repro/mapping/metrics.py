@@ -36,6 +36,7 @@ import dataclasses
 import os
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.arch.mpsoc import MPSoC
@@ -143,10 +144,9 @@ def expected_seus(
     """
     if not len(register_bits) == len(execution_cycles) == len(rates):
         raise ValueError("per-core vectors must have equal length")
-    return sum(
-        bits * cycles * rate
-        for bits, cycles, rate in zip(register_bits, execution_cycles, rates)
-    )
+    # (bits * cycles) * rate per core, as a map: the evaluation hot path
+    # calls this once per design point.
+    return sum(map(mul, map(mul, register_bits, execution_cycles), rates))
 
 
 # ---------------------------------------------------------------------------
@@ -761,25 +761,17 @@ class MappingEvaluator:
     ) -> None:
         """Schedule all pending signatures in one shot and build points.
 
-        The per-row assembly replays :meth:`_evaluate_with`'s float
-        operations exactly (same expressions, same core order, power
-        through the precomputed Eq. (5) terms) so batched points are
-        bit-identical to the loop path's.
+        Rows are assembled by :meth:`_assemble`, like the loop path's,
+        from aggregates bit-identical to its schedules', so batched
+        points are bit-identical to the loop path's.
         """
-        frequencies, _, rates = self._operating_point(scaling)
-        platform = self.platform
         compiled = self._compiled
-        mask_bits = compiled.mask_bits
-        deadline = self.deadline_s
-        num_cores = platform.num_cores
-        power_model = self.power_model
-        power_terms = self._power_terms(scaling)
+        num_cores = self.platform.num_cores
         result = batched.run(list(pending.keys()))
         # One bulk conversion to Python scalars for the whole batch —
         # exact, and far cheaper than per-row numpy scalar reads.
         makespans = result.makespans.tolist()
         busy_cycles_rows = result.busy_cycles.tolist()
-        max_frequency = max(frequencies)
         idle_activities = (0.0,) * num_cores
         # Activities vectorize batch-wide (same divide and min ops as
         # Schedule.activities); rows with an empty span fall back.
@@ -790,16 +782,17 @@ class MappingEvaluator:
         else:
             activity_rows = None
             busy_s_rows = result.busy_s.tolist()
-        # Per-core register unions vectorize when every mask fits an
-        # int64 lane (<= 63 distinct registers); the bitwise ORs are
-        # the same ones core_masks performs, in any order.
-        mask_rows = None
+        # Per-core register unions and their widths vectorize when every
+        # mask fits an int64 lane (<= 63 distinct registers): the bitwise
+        # ORs are the ones core_masks performs, in any order, and each
+        # width is mask_bits' weighted popcount, summed exactly in int64.
+        bits_rows = None
         if 0 < len(compiled.registers) <= 63:
             task_masks = _np.asarray(
                 compiled.task_register_masks, dtype=_np.int64
             )
             cores_array = result.cores
-            mask_rows = _np.stack(
+            masks = _np.stack(
                 [
                     _np.bitwise_or.reduce(
                         _np.where(cores_array == core, task_masks, 0), axis=1
@@ -807,7 +800,10 @@ class MappingEvaluator:
                     for core in range(num_cores)
                 ],
                 axis=1,
-            ).tolist()
+            )
+            shifts = _np.arange(len(compiled.registers), dtype=_np.int64)
+            widths = _np.asarray(compiled.register_bits, dtype=_np.int64)
+            bits_rows = (((masks[:, :, None] >> shifts) & 1) @ widths).tolist()
         for row, placeholder in enumerate(pending.values()):
             makespan_s = makespans[row]
             if activity_rows is not None:
@@ -818,36 +814,18 @@ class MappingEvaluator:
                 activities = tuple(
                     min(busy / makespan_s, 1.0) for busy in busy_s_rows[row]
                 )
-            if mask_rows is not None:
-                core_masks = mask_rows[row]
+            if bits_rows is not None:
+                register_bits = tuple(bits_rows[row])
             else:
-                core_masks = compiled.core_masks(placeholder.signature, num_cores)
-            register_bits = tuple(mask_bits(mask) for mask in core_masks)
-            # Inlined Eq. (3) under full-window exposure: identical
-            # term order and float ops as exposure tuple + expected_seus.
-            gamma = 0.0
-            for bits, frequency, rate in zip(register_bits, frequencies, rates):
-                if bits:
-                    gamma += bits * (makespan_s * frequency) * rate
-            power_mw = power_model.platform_power_mw_from_terms(
-                power_terms, activities
-            )
-            meets = None
-            if deadline is not None:
-                meets = makespan_s <= deadline + 1e-12
-            placeholder.point = DesignPoint(
-                mapping=placeholder.mapping,
-                scaling=scaling,
-                power_mw=power_mw,
-                register_bits_per_core=register_bits,
-                register_bits_total=sum(register_bits),
-                execution_cycles_per_core=tuple(busy_cycles_rows[row]),
-                makespan_s=makespan_s,
-                makespan_cycles=int(round(makespan_s * max_frequency)),
-                expected_seus=gamma,
-                activities=activities,
-                meets_deadline=meets,
-                schedule=result.schedule(row) if include_schedules else None,
+                register_bits = self._register_bits(placeholder.signature)
+            placeholder.point = self._assemble(
+                placeholder.mapping,
+                scaling,
+                makespan_s,
+                activities,
+                tuple(busy_cycles_rows[row]),
+                register_bits,
+                result.schedule(row) if include_schedules else None,
             )
 
     def evaluate_batch_reference(
@@ -856,17 +834,14 @@ class MappingEvaluator:
         """The per-mapping loop path (one compiled evaluation per entry).
 
         Behaviourally identical to calling :meth:`evaluate` in a loop
-        (results, cache traffic and counters), with the per-call fixed
-        costs amortized.  Kept as the behavioural reference for the
-        vectorized :meth:`evaluate_batch` — the parity suite asserts
-        bit-identical points and counter parity between the two — and
-        as the fallback when numpy is unavailable.  Points carry full
-        schedules, exactly like :meth:`evaluate`'s.
+        (results, cache traffic and counters).  Kept as the behavioural
+        reference for the vectorized :meth:`evaluate_batch` — the parity
+        suite asserts bit-identical points and counter parity between
+        the two — and as the fallback when numpy is unavailable.  Points
+        carry full schedules, exactly like :meth:`evaluate`'s.
         """
         scaling_vector = self._resolve_scaling(scaling)
         compiled = self._sync_compiled()
-        frequencies, _, rates = self._operating_point(scaling_vector)
-        scheduler = self.scheduler_for(scaling_vector)
         cache_size = self._cache_size
         points: List[DesignPoint] = []
         for mapping in mappings:
@@ -878,9 +853,7 @@ class MappingEvaluator:
                     points.append(cached)
                     continue
             self.cache_misses += 1
-            point = self._evaluate_with(
-                mapping, scaling_vector, frequencies, rates, scheduler
-            )
+            point = self._evaluate_uncached(mapping, scaling_vector)
             if cache_size:
                 self._cache_store(key, point)
             points.append(point)
@@ -957,57 +930,68 @@ class MappingEvaluator:
     def _evaluate_uncached(
         self, mapping: Mapping, scaling: Tuple[int, ...]
     ) -> DesignPoint:
-        frequencies, _, rates = self._operating_point(scaling)
-        scheduler = self.scheduler_for(scaling)
-        return self._evaluate_with(mapping, scaling, frequencies, rates, scheduler)
+        """One miss: one ``schedule`` call, then the shared assembly."""
+        schedule = self.scheduler_for(scaling).schedule(mapping)  # validates
+        cores, _ = mapping.signature_info(self._compiled)  # the scheduler's memo
+        return self._assemble(
+            mapping,
+            scaling,
+            schedule.makespan_s(),
+            schedule.activities(),
+            schedule.busy_cycles_per_core(),
+            self._register_bits(cores),
+            schedule,
+        )
 
-    def _evaluate_with(
+    def _register_bits(self, cores: Sequence[int]) -> Tuple[int, ...]:
+        """Eq. (8)'s ``R_i`` per core for a dense core assignment."""
+        compiled = self._compiled
+        masks = compiled.core_masks(cores, self.platform.num_cores)
+        return tuple(map(compiled.mask_bits, masks))
+
+    def _assemble(
         self,
         mapping: Mapping,
         scaling: Tuple[int, ...],
-        frequencies: Tuple[float, ...],
-        rates: Tuple[float, ...],
-        scheduler: ListScheduler,
+        makespan_s: float,
+        activities: Tuple[float, ...],
+        execution_cycles: Tuple[int, ...],
+        register_bits: Tuple[int, ...],
+        schedule: Optional[Schedule],
     ) -> DesignPoint:
-        """The evaluation body, with the per-scaling lookups prefetched."""
-        platform = self.platform
-        schedule = scheduler.schedule(mapping)  # validates mapping coverage
-        makespan_s = schedule.makespan_s()
-        activities = schedule.activities()
+        """Eqs. (3) and (5) around one schedule's aggregates.
 
-        compiled = self._compiled
-        mask_bits = compiled.mask_bits
-        core_masks = compiled.core_masks(
-            mapping.core_index_list(compiled.names), platform.num_cores
-        )
-        register_bits = tuple(mask_bits(mask) for mask in core_masks)
-        execution_cycles = tuple(
-            schedule.busy_cycles(core) for core in range(platform.num_cores)
-        )
-        # Full-window exposure in each core's own cycles (see module
-        # docstring): registers stay live from start to T_M.
-        exposure_cycles = tuple(
-            makespan_s * frequency if bits else 0.0
-            for frequency, bits in zip(frequencies, register_bits)
-        )
-        gamma = expected_seus(register_bits, exposure_cycles, rates)
-
-        power_mw = self.power_model.platform_power_mw(
-            platform, scaling=scaling, activities=activities
+        The serial and batched paths both end here, with the seed's
+        float operations: Eq. (3) is :func:`expected_seus` under
+        full-window exposure (registers stay live from start to ``T_M``,
+        counted in each core's own cycles; see the module docstring),
+        summed by the same builtin ``sum`` as :meth:`evaluate_reference`
+        on every interpreter, and Eq. (5) goes through the memoized
+        per-scaling terms (``platform_power_mw_from_terms``).
+        """
+        frequencies, _, rates = self._operating_point(scaling)
+        gamma = expected_seus(
+            register_bits,
+            [
+                makespan_s * frequency if bits else 0.0
+                for frequency, bits in zip(frequencies, register_bits)
+            ],
+            rates,
         )
         meets = None
         if self.deadline_s is not None:
             meets = makespan_s <= self.deadline_s + 1e-12
-
         return DesignPoint(
             mapping=mapping,
             scaling=scaling,
-            power_mw=power_mw,
+            power_mw=self.power_model.platform_power_mw_from_terms(
+                self._power_terms(scaling), activities
+            ),
             register_bits_per_core=register_bits,
             register_bits_total=sum(register_bits),
             execution_cycles_per_core=execution_cycles,
             makespan_s=makespan_s,
-            makespan_cycles=schedule.makespan_cycles(),
+            makespan_cycles=int(round(makespan_s * max(frequencies))),
             expected_seus=gamma,
             activities=activities,
             meets_deadline=meets,

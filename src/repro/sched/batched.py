@@ -5,8 +5,9 @@ order is **mapping-independent**.  The ready heap is keyed on
 ``(-bottom_level, name)`` and readiness only tracks how many
 predecessors have been scheduled — neither depends on where tasks are
 mapped or on any start/finish time.  Every mapping of one graph is
-therefore scheduled in the *same* task order, and that order can be
-computed once per compiled graph.
+therefore scheduled in the *same* task order, which the compiled graph
+computes once (``CompiledTaskGraph.static_order``) for this module and
+the serial scheduler alike.
 
 :class:`BatchedListScheduler` turns that into a stacked-array
 schedule: per-batch-row ``core_free``/``finish`` state evolves through
@@ -46,7 +47,6 @@ back to the per-mapping loop when it cannot.
 
 from __future__ import annotations
 
-import heapq
 from typing import List, Optional, Sequence, Tuple
 
 from repro.mapping.mapping import Mapping
@@ -78,13 +78,11 @@ class BatchScheduleResult:
       ``T_i`` substrate, accumulated in scheduling order;
     * ``cores`` — the core assignment rows the batch was run with.
 
-    ``order`` is the static pop order shared by every row.  Full
-    :class:`Schedule` objects are *not* built here; call
+    Full :class:`Schedule` objects are *not* built here; call
     :meth:`schedule` for the rows that need one.
     """
 
     __slots__ = (
-        "order",
         "names",
         "cycles",
         "cores",
@@ -101,7 +99,6 @@ class BatchScheduleResult:
 
     def __init__(
         self,
-        order,
         names,
         cycles,
         cores,
@@ -115,7 +112,6 @@ class BatchScheduleResult:
         frequencies_hz,
         core_cycles=None,
     ) -> None:
-        self.order = order
         self.names = names
         self.cycles = cycles
         self.cores = cores
@@ -163,30 +159,21 @@ class BatchScheduleResult:
     def schedule(self, row: int) -> Schedule:
         """Materialize one row as a full :class:`Schedule`.
 
-        Rows are handed to :meth:`Schedule.from_arrays` in pop order —
-        the same input order the serial scheduler produces — so the
-        resulting object is bit-identical to the serial path's,
-        including canonical-sort tie resolution.
+        Bit-identical to the serial path's: the same values, sorted into
+        the same canonical order (whose keys never tie).
         """
-        order = self.order
-        cores_row = self.cores[row]
-        starts_row = self.starts[row]
-        finishes_row = self.finishes[row]
-        receive_row = self.receive[row]
-        names = self.names
-        core_cycles = self.core_cycles
-        if core_cycles is None:
-            cycles = self.cycles
-            compute = [cycles[t] for t in order]
+        cores = self.cores[row].tolist()
+        if self.core_cycles is None:
+            compute = self.cycles
         else:
-            compute = [core_cycles[int(cores_row[t])][t] for t in order]
+            compute = [self.core_cycles[core][t] for t, core in enumerate(cores)]
         return Schedule.from_arrays(
-            [names[t] for t in order],
-            [int(cores_row[t]) for t in order],
-            [float(starts_row[t]) for t in order],
-            [float(finishes_row[t]) for t in order],
+            self.names,
+            cores,
+            self.starts[row].tolist(),
+            self.finishes[row].tolist(),
             compute,
-            [int(receive_row[t]) for t in order],
+            self.receive[row].tolist(),
             self.num_cores,
             self.frequencies_hz,
         )
@@ -257,40 +244,15 @@ class BatchedListScheduler:
     # -- static plan -------------------------------------------------------
 
     def _compile_plan(self) -> None:
-        """Pop order + per-step predecessor arrays (mapping-independent)."""
+        """Per-step predecessor arrays along the compiled static order."""
         compiled = self._compiled
-        n = compiled.num_tasks
-        pred_ptr = compiled.pred_ptr
-        succ_ptr = compiled.succ_ptr
-        succ_idx = compiled.succ_idx
-        names = compiled.names
-        priorities = compiled.bottom_levels
-
-        in_degree = [pred_ptr[i + 1] - pred_ptr[i] for i in range(n)]
-        ready = [
-            (-priorities[i], names[i], i) for i in compiled.entry_indices
-        ]
-        heapq.heapify(ready)
-        order: List[int] = []
-        while ready:
-            _, _, i = heapq.heappop(ready)
-            order.append(i)
-            for e in range(succ_ptr[i], succ_ptr[i + 1]):
-                successor = succ_idx[e]
-                in_degree[successor] -= 1
-                if in_degree[successor] == 0:
-                    heapq.heappush(
-                        ready, (-priorities[successor], names[successor], successor)
-                    )
-        if len(order) != n:
-            raise ValueError("scheduling incomplete: graph contains a cycle")
-        self._order: Tuple[int, ...] = tuple(order)
         # Per-step predecessor id / comm-cycle arrays, in edge order.
+        pred_ptr = compiled.pred_ptr
         pred_idx = compiled.pred_idx
         pred_comm = compiled.pred_comm
         self._step_preds = []
         self._step_comm = []
-        for i in order:
+        for i in compiled.static_order:
             begin, end = pred_ptr[i], pred_ptr[i + 1]
             if end > begin:
                 self._step_preds.append(_np.array(pred_idx[begin:end], dtype=_np.intp))
@@ -327,7 +289,7 @@ class BatchedListScheduler:
     @property
     def order(self) -> Tuple[int, ...]:
         """The static scheduling order (dense task ids, pop order)."""
-        return self._order
+        return self._compiled.static_order
 
     def _sync_compiled(self) -> None:
         compiled = self._graph.compiled()
@@ -391,7 +353,6 @@ class BatchedListScheduler:
             finishes.max(axis=1) if n and batch else _np.zeros(batch)
         )
         return BatchScheduleResult(
-            order=self._order,
             names=compiled.names,
             cycles=compiled.cycles,
             core_cycles=self._core_cycles_rows,
@@ -420,7 +381,7 @@ class BatchedListScheduler:
         bus_free = None if dedicated else np.zeros(batch, dtype=np.float64)
         bus_frequency = self._bus_frequency
 
-        for step, task in enumerate(self._order):
+        for step, task in enumerate(compiled.static_order):
             core = cores[:, task]
             earliest = core_free[rows, core]  # fancy indexing copies
             preds = self._step_preds[step]

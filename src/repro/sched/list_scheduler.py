@@ -34,22 +34,22 @@ every incoming transfer) has finished.
 
 Implementation
 --------------
-:meth:`ListScheduler.schedule` runs on the graph's
-:class:`~repro.taskgraph.compiled.CompiledTaskGraph` — integer task
-ids, CSR adjacency and preallocated per-core arrays — which is several
-times faster than the original dict-and-string walk while producing a
-bit-for-bit identical :class:`~repro.sched.schedule.Schedule` (the
-heap keys, float operations and predecessor iteration order are
-preserved exactly).  The original implementation is kept as
-:meth:`ListScheduler.schedule_reference` and the parity suite asserts
-equality on randomized inputs.
-
-The pop order is mapping-independent (the ready heap is keyed on
+The pop order is mapping-independent: the ready heap is keyed on
 ``(-bottom_level, name)`` and readiness only counts scheduled
-predecessors), which is what lets
+predecessors.  The graph's
+:class:`~repro.taskgraph.compiled.CompiledTaskGraph` therefore computes
+it once (``static_order``), and :meth:`ListScheduler.schedule` walks it
+with no heap and no in-degree bookkeeping — integer task ids, per-task
+predecessor tuples, preallocated arrays — carrying the makespan and the
+per-core busy sums as it goes.  The :class:`~repro.sched.schedule.
+Schedule` it returns answers those aggregates at once and sorts its
+canonical rows only when they are first read.  Every float operation
+and the predecessor iteration order are the seed's, so the result is
+bit-for-bit the original implementation's, which is kept as
+:meth:`ListScheduler.schedule_reference`; the parity suite asserts
+equality on randomized inputs.  The same static order lets
 :class:`~repro.sched.batched.BatchedListScheduler` schedule a whole
-batch of mappings through one static order in a single numpy pass —
-bit-identical to calling :meth:`ListScheduler.schedule` per mapping.
+batch of mappings in a single numpy pass.
 """
 
 from __future__ import annotations
@@ -103,7 +103,10 @@ class ListScheduler:
                 f"unknown comm model {comm_model!r}; choose from {self._COMM_MODELS}"
             )
         self._graph = graph
-        self._compiled = graph.compiled()
+        # Bound to the graph's compiled view (and per-core cycle rows) by
+        # the first schedule() call, and re-bound after any mutation.
+        self._compiled = None
+        self._core_cycles: Sequence[Sequence[int]] = ()
         self._frequencies = tuple(float(f) for f in frequencies_hz)
         if cycle_scales is not None:
             scales = tuple(float(scale) for scale in cycle_scales)
@@ -122,28 +125,6 @@ class ListScheduler:
         if bus_frequency_hz is not None and bus_frequency_hz <= 0:
             raise ValueError("bus frequency must be positive")
         self._bus_frequency = bus_frequency_hz or max(self._frequencies)
-        self._build_templates()
-
-    def _build_templates(self) -> None:
-        """Per-call templates: copied (not rebuilt) on every schedule()."""
-        compiled = self._compiled
-        self._base_in_degree = [
-            compiled.pred_ptr[i + 1] - compiled.pred_ptr[i]
-            for i in range(compiled.num_tasks)
-        ]
-        initial_ready = [
-            (-compiled.bottom_levels[i], compiled.names[i], i)
-            for i in compiled.entry_indices
-        ]
-        heapq.heapify(initial_ready)
-        self._initial_ready = initial_ready
-        # Per-core cycle rows.  Homogeneous platforms point every core
-        # at the base tuple *object*, so the ints fetched in the hot
-        # loop are exactly the seed path's.
-        if self._cycle_scales is None:
-            self._core_cycles = (compiled.cycles,) * len(self._frequencies)
-        else:
-            self._core_cycles = compiled.cycles_for_cores(self._cycle_scales)
 
     @classmethod
     def for_platform(
@@ -197,66 +178,53 @@ class ListScheduler:
             If the mapping does not cover the graph or targets a
             different number of cores.
         """
-        compiled = self._graph.compiled()
+        compiled = self._graph.compiled()  # re-validated (cycles) on mutation
         if compiled is not self._compiled:
-            # The graph mutated since construction; renew the arrays so
-            # we never schedule against stale adjacency (the reference
-            # path reads the graph live and stays in step).
+            # Never schedule against stale arrays (the reference path
+            # reads the graph live and stays in step).  Homogeneous
+            # platforms point every core at the base cycle tuple
+            # *object*, so the walk reads exactly the seed path's ints.
             self._compiled = compiled
-            self._build_templates()
-        names = compiled.names
-        cores = mapping.core_index_list(names)  # validates coverage
-        if mapping.num_cores != self.num_cores:
+            self._core_cycles = compiled.cycles_for_cores(
+                self._cycle_scales or (1.0,) * len(self._frequencies)
+            )
+        # The memoized signature (it validated coverage when built): one
+        # read of the mapping per compiled view, shared with the evaluator.
+        cores, _ = mapping.signature_info(compiled)
+        num_cores = self.num_cores
+        if mapping.num_cores != num_cores:
             raise ValueError(
                 f"mapping targets {mapping.num_cores} cores, scheduler has "
-                f"{self.num_cores}"
+                f"{num_cores}"
             )
 
         n = compiled.num_tasks
         core_cycles = self._core_cycles
-        pred_ptr = compiled.pred_ptr
-        pred_idx = compiled.pred_idx
-        pred_comm = compiled.pred_comm
-        succ_ptr = compiled.succ_ptr
-        succ_idx = compiled.succ_idx
-        priorities = compiled.bottom_levels
+        pred_pairs = compiled.pred_pairs
         frequencies = self._frequencies
         dedicated = self.comm_model == "dedicated"
         bus_frequency = self._bus_frequency
 
-        in_degree = self._base_in_degree.copy()
-        # Max-heap on priority; tie-break on name for determinism (the
-        # integer id rides along as the payload).  A copy of a heap is
-        # a heap, so the template needs no re-heapify.
-        ready = self._initial_ready.copy()
-        heappush = heapq.heappush
-        heappop = heapq.heappop
-
-        core_free_at = [0.0] * self.num_cores
+        core_free_at = [0.0] * num_cores
+        busy_s = [0.0] * num_cores
+        busy_cycles = [0] * num_cores
         bus_free_at = 0.0
+        makespan = 0.0
+        start_at = [0.0] * n
         finish_at = [0.0] * n
-        entry_names: List[str] = []
-        entry_cores: List[int] = []
-        entry_starts: List[float] = []
-        entry_finishes: List[float] = []
-        entry_compute: List[int] = []
-        entry_receive: List[int] = []
+        receive_at = [0] * n
 
-        scheduled_count = 0
-        while ready:
-            _, name, i = heappop(ready)
+        # The static order is the heap's pop order, so every predecessor
+        # is final when its consumer comes up.
+        for i in compiled.static_order:
             core = cores[i]
-            frequency = frequencies[core]
-
             receive_cycles = 0
             earliest = core_free_at[core]
-            for e in range(pred_ptr[i], pred_ptr[i + 1]):
-                producer = pred_idx[e]
+            for producer, comm in pred_pairs[i]:
                 producer_finish = finish_at[producer]
                 if producer_finish > earliest:
                     earliest = producer_finish
                 if cores[producer] != core:
-                    comm = pred_comm[e]
                     if dedicated:
                         receive_cycles += comm
                     else:  # shared-bus: the transfer serializes on the bus
@@ -269,38 +237,35 @@ class ListScheduler:
                         bus_free_at = transfer_finish
                         if transfer_finish > earliest:
                             earliest = transfer_finish
-            compute = core_cycles[core][i]
-            duration = (compute + receive_cycles) / frequency
-            finish = earliest + duration
+            occupancy = core_cycles[core][i] + receive_cycles
+            finish = earliest + occupancy / frequencies[core]
             core_free_at[core] = finish
+            start_at[i] = earliest
             finish_at[i] = finish
-            entry_names.append(name)
-            entry_cores.append(core)
-            entry_starts.append(earliest)
-            entry_finishes.append(finish)
-            entry_compute.append(compute)
-            entry_receive.append(receive_cycles)
-            scheduled_count += 1
+            receive_at[i] = receive_cycles
+            # Pop order is start order on each core, so these float sums
+            # equal the canonical-order ones.
+            busy_s[core] += finish - earliest
+            busy_cycles[core] += occupancy
+            if finish > makespan:
+                makespan = finish
 
-            for e in range(succ_ptr[i], succ_ptr[i + 1]):
-                successor = succ_idx[e]
-                in_degree[successor] -= 1
-                if in_degree[successor] == 0:
-                    heappush(
-                        ready, (-priorities[successor], names[successor], successor)
-                    )
-
-        if scheduled_count != n:
-            raise ValueError("scheduling incomplete: graph contains a cycle")
-        return Schedule.from_arrays(
-            entry_names,
-            entry_cores,
-            entry_starts,
-            entry_finishes,
-            entry_compute,
-            entry_receive,
-            self.num_cores,
-            self._frequencies,
+        if self._cycle_scales is None:
+            compute_at = compiled.cycles
+        else:
+            compute_at = [core_cycles[core][i] for i, core in enumerate(cores)]
+        return Schedule.from_walk(
+            compiled.names,
+            cores,
+            start_at,
+            finish_at,
+            compute_at,
+            receive_at,
+            num_cores,
+            frequencies,
+            makespan,
+            busy_s,
+            busy_cycles,
         )
 
     def schedule_reference(self, mapping: Mapping) -> Schedule:

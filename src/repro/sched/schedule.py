@@ -12,9 +12,13 @@ starts, finishes, cycle counts) in canonical ``(start, core, name)``
 order; the :class:`ScheduledTask` objects are materialized lazily the
 first time entries are iterated.  The aggregate queries the evaluation
 hot path hammers — makespan, per-core busy sums, activity factors —
-are answered from the arrays in a single cached pass, so a
-:class:`~repro.mapping.metrics.MappingEvaluator` never pays for entry
-objects it does not look at.
+are answered from one cached pass over the arrays or, for schedules
+built by :meth:`Schedule.from_walk` (the list scheduler's), straight
+from the aggregates its walk carried; such a schedule sorts its rows
+only when they are first read, so a
+:class:`~repro.mapping.metrics.MappingEvaluator` never pays for rows or
+entry objects it does not look at.  Pickling settles the rows first:
+the pickled state is the same thirteen slots stores have always held.
 """
 
 from __future__ import annotations
@@ -26,12 +30,13 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from repro.mapping.mapping import Mapping
 from repro.taskgraph.graph import TaskGraph
 
-#: Debug-mode row validation for :meth:`Schedule.from_arrays`.  The
-#: compiled list scheduler's rows are trusted by construction, but
-#: schedules now also cross process boundaries (restart and experiment
-#: fan-out jobs) and other producers may appear; flipping this on makes
-#: ``from_arrays`` run the same duplicate/core-range/array-shape checks
-#: the entry-based constructor performs.  Seed it from the environment
+#: Debug-mode row validation for :meth:`Schedule.from_arrays` and
+#: :meth:`Schedule.from_walk`.  The list scheduler's rows are trusted
+#: by construction, but schedules also cross process boundaries
+#: (restart and experiment fan-out jobs) and other producers may
+#: appear; flipping this on makes both constructors run the same
+#: duplicate/core-range/array-shape checks the entry-based constructor
+#: performs.  Seed it from the environment
 #: (``REPRO_VALIDATE_SCHEDULES=1``) so whole test runs can opt in
 #: without code changes.
 _VALIDATE_FROM_ARRAYS = os.environ.get(
@@ -61,6 +66,22 @@ def set_from_arrays_validation(enabled: bool) -> bool:
 def from_arrays_validation_enabled() -> bool:
     """Whether :meth:`Schedule.from_arrays` currently validates rows."""
     return _VALIDATE_FROM_ARRAYS
+
+
+def _check_rows(rows: Sequence[Sequence], num_cores: int) -> None:
+    """Equal array lengths, no task twice, every core in range."""
+    lengths = {len(array) for array in rows}
+    if len(lengths) != 1:
+        raise ValueError(
+            f"parallel schedule arrays disagree on length: {sorted(lengths)}"
+        )
+    seen = set()
+    for name, core in zip(rows[0], rows[1]):
+        if name in seen:
+            raise ValueError(f"task {name!r} scheduled twice")
+        if not 0 <= core < num_cores:
+            raise ValueError(f"task {name!r} on invalid core {core}")
+        seen.add(name)
 
 
 @dataclass(frozen=True)
@@ -136,6 +157,7 @@ class Schedule:
         "_makespan_cache",
         "_busy_s_cache",
         "_busy_cycles_cache",
+        "_pending",  # unsorted rows, or None once settled; never pickled
     )
 
     def __init__(
@@ -144,20 +166,16 @@ class Schedule:
         num_cores: int,
         frequencies_hz: Sequence[float],
     ) -> None:
-        ordered = sorted(
-            entries, key=lambda entry: (entry.start_s, entry.core, entry.name)
+        entries = tuple(entries)
+        rows = (
+            [entry.name for entry in entries],
+            [entry.core for entry in entries],
+            [entry.start_s for entry in entries],
+            [entry.finish_s for entry in entries],
+            [entry.compute_cycles for entry in entries],
+            [entry.receive_cycles for entry in entries],
         )
-        self._init_from_arrays(
-            [entry.name for entry in ordered],
-            [entry.core for entry in ordered],
-            [entry.start_s for entry in ordered],
-            [entry.finish_s for entry in ordered],
-            [entry.compute_cycles for entry in ordered],
-            [entry.receive_cycles for entry in ordered],
-            num_cores,
-            frequencies_hz,
-        )
-        self._entries_cache = tuple(ordered)
+        self._setup(rows, num_cores, frequencies_hz, validate=True)
 
     @classmethod
     def from_arrays(
@@ -173,60 +191,58 @@ class Schedule:
     ) -> "Schedule":
         """Build a schedule straight from parallel arrays.
 
-        The fast-path constructor used by the compiled list scheduler:
-        no :class:`ScheduledTask` objects are created until somebody
-        iterates the schedule.  Rows may arrive in any order; they are
-        put into canonical ``(start, core, name)`` order here.
+        Rows may arrive in any order; they are held, not copied, and put
+        into canonical ``(start, core, name)`` order when first read.
+        No :class:`ScheduledTask` objects are created until somebody
+        iterates the schedule.
 
-        Rows are trusted by default (they come from the scheduler's own
-        state); :func:`set_from_arrays_validation` — or
-        ``REPRO_VALIDATE_SCHEDULES=1`` in the environment — turns on
-        the entry-constructor's duplicate/core-range checks plus an
+        Rows are trusted by default; :func:`set_from_arrays_validation`
+        — or ``REPRO_VALIDATE_SCHEDULES=1`` in the environment — turns
+        on the entry-constructor's duplicate/core-range checks plus an
         array-shape check for debugging new producers.
         """
-        validate = _VALIDATE_FROM_ARRAYS
-        if validate:
-            lengths = {
-                len(names),
-                len(cores),
-                len(starts),
-                len(finishes),
-                len(compute_cycles),
-                len(receive_cycles),
-            }
-            if len(lengths) != 1:
-                raise ValueError(
-                    f"parallel schedule arrays disagree on length: {sorted(lengths)}"
-                )
-        order = sorted(
-            range(len(names)), key=lambda i: (starts[i], cores[i], names[i])
-        )
+        rows = (names, cores, starts, finishes, compute_cycles, receive_cycles)
         schedule = cls.__new__(cls)
-        schedule._init_from_arrays(
-            [names[i] for i in order],
-            [cores[i] for i in order],
-            [starts[i] for i in order],
-            [finishes[i] for i in order],
-            [compute_cycles[i] for i in order],
-            [receive_cycles[i] for i in order],
-            num_cores,
-            frequencies_hz,
-            validate=validate,
-        )
-        schedule._entries_cache = None
+        schedule._setup(rows, num_cores, frequencies_hz, _VALIDATE_FROM_ARRAYS)
         return schedule
 
-    def _init_from_arrays(
-        self,
-        names: List[str],
-        cores: List[int],
-        starts: List[float],
-        finishes: List[float],
-        compute_cycles: List[int],
-        receive_cycles: List[int],
+    @classmethod
+    def from_walk(
+        cls,
+        names: Sequence[str],
+        cores: Sequence[int],
+        starts: Sequence[float],
+        finishes: Sequence[float],
+        compute_cycles: Sequence[int],
+        receive_cycles: Sequence[int],
         num_cores: int,
         frequencies_hz: Sequence[float],
-        validate: bool = True,
+        makespan_s: float,
+        busy_s: List[float],
+        busy_cycles: List[int],
+    ) -> "Schedule":
+        """:meth:`from_arrays` plus the aggregates a scheduler already has.
+
+        The list scheduler's constructor: its walk carries the makespan
+        and the per-core busy sums (accumulated in pop order, which per
+        core is start order, so the floats equal the canonical-order
+        sums), so they are answered at once and the rows stay unsorted
+        until read.
+        """
+        rows = (names, cores, starts, finishes, compute_cycles, receive_cycles)
+        schedule = cls.__new__(cls)
+        schedule._setup(rows, num_cores, frequencies_hz, _VALIDATE_FROM_ARRAYS)
+        schedule._makespan_cache = makespan_s
+        schedule._busy_s_cache = busy_s
+        schedule._busy_cycles_cache = busy_cycles
+        return schedule
+
+    def _setup(
+        self,
+        rows: Tuple[Sequence, ...],
+        num_cores: int,
+        frequencies_hz: Sequence[float],
+        validate: bool,
     ) -> None:
         if num_cores <= 0:
             raise ValueError("num_cores must be positive")
@@ -234,31 +250,56 @@ class Schedule:
             raise ValueError(
                 f"{len(frequencies_hz)} frequencies for {num_cores} cores"
             )
-        position: Optional[Dict[str, int]] = None
         if validate:
-            position = {}
-            for index, name in enumerate(names):
-                if name in position:
-                    raise ValueError(f"task {name!r} scheduled twice")
-                if not 0 <= cores[index] < num_cores:
-                    raise ValueError(f"task {name!r} on invalid core {cores[index]}")
-                position[name] = index
-        self._names = names
-        self._cores = cores
-        self._starts = starts
-        self._finishes = finishes
-        self._compute = compute_cycles
-        self._receive = receive_cycles
+            _check_rows(rows, num_cores)
         self._num_cores = num_cores
-        self._frequencies_hz = tuple(float(f) for f in frequencies_hz)
-        self._position = position
+        self._frequencies_hz = tuple(map(float, frequencies_hz))
+        self._pending: Optional[Tuple[Sequence, ...]] = rows
+        self._position: Optional[Dict[str, int]] = None
+        self._entries_cache: Optional[Tuple[ScheduledTask, ...]] = None
         self._makespan_cache: Optional[float] = None
         self._busy_s_cache: Optional[List[float]] = None
         self._busy_cycles_cache: Optional[List[int]] = None
 
+    def _settle(self) -> None:
+        """Put pending rows into canonical order (idempotent).
+
+        Several threads may read one schedule: each settles on its own
+        copies and publishes the rows before clearing the pending
+        marker, so whoever sees no marker sees complete rows.
+        """
+        pending = self._pending
+        if pending is None:
+            return
+        names, cores, starts = pending[:3]
+        order = sorted(range(len(names)), key=lambda i: (starts[i], cores[i], names[i]))
+        (
+            self._names,
+            self._cores,
+            self._starts,
+            self._finishes,
+            self._compute,
+            self._receive,
+        ) = [[array[i] for i in order] for array in pending]
+        self._pending = None
+
+    # -- pickling ---------------------------------------------------------------
+
+    def __getstate__(self):
+        # Settled rows in every slot but the last: the layout stores have
+        # always held.
+        self._settle()
+        return None, {slot: getattr(self, slot) for slot in self.__slots__[:-1]}
+
+    def __setstate__(self, state) -> None:
+        for slot, value in state[1].items():
+            setattr(self, slot, value)
+        self._pending = None
+
     def _positions(self) -> Dict[str, int]:
         position = self._position
         if position is None:
+            self._settle()
             position = {name: index for index, name in enumerate(self._names)}
             self._position = position
         return position
@@ -269,6 +310,7 @@ class Schedule:
     def _entries(self) -> Tuple[ScheduledTask, ...]:
         cached = self._entries_cache
         if cached is None:
+            self._settle()
             cached = tuple(self._materialize(i) for i in range(len(self._names)))
             self._entries_cache = cached
         return cached
@@ -286,7 +328,8 @@ class Schedule:
     # -- container protocol -------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._names)
+        pending = self._pending
+        return len(self._names if pending is None else pending[0])
 
     def __iter__(self) -> Iterator[ScheduledTask]:
         return iter(self._entries)
@@ -326,6 +369,7 @@ class Schedule:
         """The multiprocessor execution time ``T_M`` in seconds."""
         cached = self._makespan_cache
         if cached is None:
+            self._settle()
             cached = max(self._finishes) if self._finishes else 0.0
             self._makespan_cache = cached
         return cached
@@ -342,6 +386,7 @@ class Schedule:
         busy_s = self._busy_s_cache
         busy_cycles = self._busy_cycles_cache
         if busy_s is None or busy_cycles is None:
+            self._settle()
             busy_s = [0.0] * self._num_cores
             busy_cycles = [0] * self._num_cores
             cores = self._cores
@@ -364,6 +409,10 @@ class Schedule:
     def busy_cycles(self, core_index: int) -> int:
         """Total busy cycles of ``core_index`` (``T_i`` of Eq. 7)."""
         return self._busy_sums()[1][core_index]
+
+    def busy_cycles_per_core(self) -> Tuple[int, ...]:
+        """``T_i`` of Eq. (7) for every core."""
+        return tuple(self._busy_sums()[1])
 
     def activity(self, core_index: int) -> float:
         """Activity factor ``alpha_i = busy_i / T_M`` (0 for empty span)."""
@@ -428,17 +477,17 @@ class Schedule:
         Rows are ordered by start time — handy for CSV dumps and for
         driving external Gantt tooling.
         """
-        return [
-            (
-                self._names[i],
-                self._cores[i],
-                self._starts[i],
-                self._finishes[i],
-                self._compute[i],
-                self._receive[i],
+        self._settle()
+        return list(
+            zip(
+                self._names,
+                self._cores,
+                self._starts,
+                self._finishes,
+                self._compute,
+                self._receive,
             )
-            for i in range(len(self._names))
-        ]
+        )
 
     def gantt_text(self, width: int = 72) -> str:
         """A plain-text Gantt chart, one line per core."""

@@ -360,6 +360,31 @@ class TestFaultTolerance:
         api._write_run_record(run_dir, record)
         assert api.run_status(store, submission.run_id).state == "running"
 
+    @pytest.mark.parametrize("token", ["stale", None])
+    def test_pid_reuse_by_a_new_process_is_an_orphan(self, tmp_path, token):
+        # A restarted server that inherits its predecessor's pid (PID 1
+        # in a container with a stable hostname) must still adopt the
+        # predecessor's running runs: the owner token, not the pid,
+        # identifies the process.  A token-less record is a legacy one.
+        store = tmp_path / "svc"
+        submission = api.submit_run(FIG3, store, wait=False)
+        run_dir = api._run_directory(store, submission.run_id)
+        record = api._read_run_record(run_dir)
+        record["state"] = "running"
+        record["owner"] = {"pid": os.getpid(), "host": socket.gethostname()}
+        if token is not None:
+            record["owner"]["token"] = token
+        api._write_run_record(run_dir, record)
+        status = api.run_status(store, submission.run_id)
+        assert status.state == api.INTERRUPTED_STATE
+        assert api.reattach_pending(store) == [submission.run_id]
+        record = api._read_run_record(run_dir)
+        assert record["state"] == "queued"
+        assert record["owner"]["pid"] == os.getpid()
+        assert record["owner"]["token"] not in (token, None)
+        # Adopted under this process's token: live again, nothing to adopt.
+        assert api.reattach_pending(store) == []
+
     def test_submit_requeues_an_orphaned_run(self, tmp_path):
         store = tmp_path / "svc"
         first = api.submit_run(FIG3, store, wait=False)
